@@ -150,7 +150,7 @@ func ExpReplan(o Options) (*Table, error) {
 	}
 
 	t := &Table{
-		Title: fmt.Sprintf("Elastic re-planning — LeNet5/CelebA pipeline on %d SoCs, plan %s", socs, p.String()),
+		Title:  fmt.Sprintf("Elastic re-planning — LeNet5/CelebA pipeline on %d SoCs, plan %s", socs, p.String()),
 		Header: []string{"scenario", "final_acc", "delta_pts", "detections", "retries", "replans", "detect_resume_s"},
 	}
 	t.AddRow(row("fault-free", clean)...)

@@ -37,6 +37,11 @@ func chunkBounds(n, count, c int) (lo, hi int) {
 // all-reduce (reduce-scatter then all-gather) over members, averaging
 // `data` in place. Every member must call it with the same member list
 // and an equal-length vector. A single member is a no-op.
+//
+// All 2(n-1) steps encode into one send buffer, which Node's ownership
+// contract (Send keeps no reference) makes safe to reuse, and received
+// chunks decode straight into data: the only per-step allocation left
+// is the transport's received frame.
 func RingAllReduceAverage(node transport.Node, members []int, data []float32) error {
 	n := len(members)
 	if n <= 1 {
@@ -48,55 +53,42 @@ func RingAllReduceAverage(node transport.Node, members []int, data []float32) er
 	}
 	right := members[(rank+1)%n]
 	left := members[(rank-1+n)%n]
+	maxChunk := (len(data) + n - 1) / n
+	buf := make([]byte, 0, 4+4*maxChunk)
+
+	// step sends chunk sendIdx right and folds the chunk arriving from
+	// the left into chunk recvIdx with merge.
+	step := func(sendIdx, recvIdx int, merge func([]float32, []byte) error, phase string) error {
+		lo, hi := chunkBounds(len(data), n, sendIdx)
+		buf = transport.AppendVector(buf[:0], data[lo:hi])
+		if err := node.Send(right, buf); err != nil {
+			return err
+		}
+		msg, err := node.Recv(left)
+		if err != nil {
+			return err
+		}
+		rlo, rhi := chunkBounds(len(data), n, recvIdx)
+		if err := merge(data[rlo:rhi], msg); err != nil {
+			return fmt.Errorf("runtime: %s chunk: %w", phase, err)
+		}
+		return nil
+	}
 
 	// Phase 1: reduce-scatter. After step s each rank has accumulated
 	// one more peer's contribution to a rotating chunk; after n-1 steps
 	// rank r holds the fully reduced chunk (r+1) mod n.
 	for s := 0; s < n-1; s++ {
-		sendIdx := (rank - s + n) % n
-		recvIdx := (rank - s - 1 + n) % n
-		lo, hi := chunkBounds(len(data), n, sendIdx)
-		if err := node.Send(right, transport.EncodeVector(data[lo:hi])); err != nil {
+		if err := step((rank-s+n)%n, (rank-s-1+n)%n, transport.AddVector, "reduce-scatter"); err != nil {
 			return err
-		}
-		msg, err := node.Recv(left)
-		if err != nil {
-			return err
-		}
-		chunk, err := transport.DecodeVector(msg)
-		if err != nil {
-			return err
-		}
-		rlo, rhi := chunkBounds(len(data), n, recvIdx)
-		if rhi-rlo != len(chunk) {
-			return fmt.Errorf("runtime: reduce-scatter chunk size mismatch %d vs %d", rhi-rlo, len(chunk))
-		}
-		for i := range chunk {
-			data[rlo+i] += chunk[i]
 		}
 	}
 
 	// Phase 2: all-gather the reduced chunks around the ring.
 	for s := 0; s < n-1; s++ {
-		sendIdx := (rank + 1 - s + n) % n
-		recvIdx := (rank - s + n) % n
-		lo, hi := chunkBounds(len(data), n, sendIdx)
-		if err := node.Send(right, transport.EncodeVector(data[lo:hi])); err != nil {
+		if err := step((rank+1-s+n)%n, (rank-s+n)%n, transport.CopyVector, "all-gather"); err != nil {
 			return err
 		}
-		msg, err := node.Recv(left)
-		if err != nil {
-			return err
-		}
-		chunk, err := transport.DecodeVector(msg)
-		if err != nil {
-			return err
-		}
-		rlo, rhi := chunkBounds(len(data), n, recvIdx)
-		if rhi-rlo != len(chunk) {
-			return fmt.Errorf("runtime: all-gather chunk size mismatch %d vs %d", rhi-rlo, len(chunk))
-		}
-		copy(data[rlo:rhi], chunk)
 	}
 
 	inv := 1 / float32(n)
@@ -120,6 +112,7 @@ func PSRound(node transport.Node, members []int, server int, data []float32) err
 			}
 			contributions++
 		}
+		push := make([]float32, len(data))
 		for _, m := range members {
 			if m == server {
 				continue
@@ -128,15 +121,11 @@ func PSRound(node transport.Node, members []int, server int, data []float32) err
 			if err != nil {
 				return err
 			}
-			v, err := transport.DecodeVector(msg)
-			if err != nil {
-				return err
+			if err := transport.CopyVector(push, msg); err != nil {
+				return fmt.Errorf("runtime: PS push: %w", err)
 			}
-			if len(v) != len(data) {
-				return fmt.Errorf("runtime: PS push length %d, want %d", len(v), len(data))
-			}
-			for i := range v {
-				acc[i] += float64(v[i])
+			for i, v := range push {
+				acc[i] += float64(v)
 			}
 			contributions++
 		}
@@ -162,14 +151,9 @@ func PSRound(node transport.Node, members []int, server int, data []float32) err
 	if err != nil {
 		return err
 	}
-	v, err := transport.DecodeVector(msg)
-	if err != nil {
-		return err
+	if err := transport.CopyVector(data, msg); err != nil {
+		return fmt.Errorf("runtime: PS pull: %w", err)
 	}
-	if len(v) != len(data) {
-		return fmt.Errorf("runtime: PS pull length %d, want %d", len(v), len(data))
-	}
-	copy(data, v)
 	return nil
 }
 
@@ -192,14 +176,9 @@ func Broadcast(node transport.Node, members []int, root int, data []float32) err
 	if err != nil {
 		return err
 	}
-	v, err := transport.DecodeVector(msg)
-	if err != nil {
-		return err
+	if err := transport.CopyVector(data, msg); err != nil {
+		return fmt.Errorf("runtime: broadcast: %w", err)
 	}
-	if len(v) != len(data) {
-		return fmt.Errorf("runtime: broadcast length %d, want %d", len(v), len(data))
-	}
-	copy(data, v)
 	return nil
 }
 

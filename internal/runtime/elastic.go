@@ -137,14 +137,14 @@ func copySet(dst, src []*tensor.Tensor) {
 // elasticWorker is one SoC's elastic life: rounds from the manager,
 // snapshots between them, and the same collective protocol inside.
 type elasticWorker struct {
-	mgr   *recoveryManager
-	node  transport.Node
-	spec  *nn.Spec
+	mgr        *recoveryManager
+	node       transport.Node
+	spec       *nn.Spec
 	train, val *dataset.Dataset
-	cfg   *DistConfig
-	group int
-	res   *DistResult
-	resMu *sync.Mutex
+	cfg        *DistConfig
+	group      int
+	res        *DistResult
+	resMu      *sync.Mutex
 }
 
 // recoverableRoundErr reports whether a round failure should be

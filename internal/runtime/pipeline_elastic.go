@@ -537,6 +537,11 @@ func (m *pipeManager) reclaimLocked(x int) {
 	delete(m.joining, x)
 	m.stats.MembershipEpoch++
 	m.hb.MarkDead(x)
+	// Unlike a crashed node, a reclaimed one is still running and may be
+	// parked in a Recv whose sender now fast-fails against it (ErrPeerDead);
+	// markFailedLocked skips dead nodes, so interrupt it here to send it
+	// back to the barrier, where next() writes it out.
+	m.hb.Interrupt(x, transport.ErrRoundAborted)
 	m.reg.Counter("recovery.reclaims").Inc()
 	m.reg.Gauge("recovery.membership.epoch").Set(float64(m.stats.MembershipEpoch))
 	epoch := 0

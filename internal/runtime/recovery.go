@@ -155,7 +155,7 @@ type recoveryManager struct {
 	// round of that epoch (or later) releases — a failure elsewhere may
 	// retroactively turn the next release into a retry of an *earlier*
 	// epoch, which the joiner must sit out.
-	joining map[int]int
+	joining    map[int]int
 	rejoinUsed []bool
 	cur        *roundInfo
 	relSeq     int

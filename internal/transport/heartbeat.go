@@ -351,11 +351,15 @@ func (n *hbNode) Send(to int, payload []byte) error {
 	if n.mesh.isDead(to) {
 		return fmt.Errorf("node %d send to %d: %w", n.id, to, ErrPeerDead)
 	}
-	frame := make([]byte, 5+len(payload))
-	frame[0] = hbData
-	binary.LittleEndian.PutUint32(frame[1:5], n.gen.Load())
-	copy(frame[5:], payload)
-	return n.inner.Send(to, frame)
+	// The inner Send keeps no reference to the frame, so its buffer
+	// goes back to the pool as soon as Send returns.
+	bp := framePool.Get().(*[]byte)
+	frame := append((*bp)[:0], hbData)
+	frame = binary.LittleEndian.AppendUint32(frame, n.gen.Load())
+	frame = append(frame, payload...)
+	err := n.inner.Send(to, frame)
+	releaseFrame(bp, frame)
+	return err
 }
 
 // Recv implements Node: it pops the next current-generation frame from

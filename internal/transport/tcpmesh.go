@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,6 +22,11 @@ const (
 	DefaultOpTimeout = 30 * time.Second
 	DefaultOpRetries = 2
 )
+
+// readBufSize is each link reader's buffer: big enough that a ring
+// chunk's header and payload arrive in one read, small enough that the
+// 56 links of an 8-node mesh hold under half a MiB.
+const readBufSize = 8 << 10
 
 // TCPMesh is a Mesh whose links are real TCP connections on loopback:
 // every unordered pair of nodes shares one connection, with a reader
@@ -223,9 +229,14 @@ func (nd *tcpNode) attach(peer int, conn net.Conn) {
 	nd.conns[peer] = conn
 	close(nd.ready[peer])
 	nd.mu.Unlock()
+	// The reader goroutine drains the socket into the inbox even while
+	// the owner is busy sending: without it, a ring whose members all
+	// send before they receive would deadlock on frames larger than
+	// the socket buffer.
 	go func() {
+		br := bufio.NewReaderSize(conn, readBufSize)
 		for {
-			msg, err := readFrame(conn)
+			msg, err := readFrame(br)
 			if err != nil {
 				close(nd.inbox[peer])
 				return
@@ -247,20 +258,6 @@ func (nd *tcpNode) close() {
 
 func (nd *tcpNode) ID() int   { return nd.id }
 func (nd *tcpNode) Size() int { return nd.n }
-
-// countWriter tracks whether any bytes reached the connection, which
-// decides whether a timed-out frame write is retryable: once part of a
-// frame is on the wire, a retry would corrupt the peer's framing.
-type countWriter struct {
-	w io.Writer
-	n int
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += n
-	return n, err
-}
 
 func (nd *tcpNode) Send(to int, payload []byte) error {
 	if to < 0 || to >= nd.n || to == nd.id {
@@ -288,11 +285,12 @@ func (nd *tcpNode) Send(to int, payload []byte) error {
 			}
 			backoff *= 2
 		}
+		// Every attempt arms a fresh deadline, so the one a previous
+		// Send left behind is never cleared, only replaced.
 		conn.SetWriteDeadline(time.Now().Add(nd.mesh.opTimeout))
-		cw := &countWriter{w: conn}
-		err = writeFrame(cw, payload)
+		var wrote int
+		wrote, err = writeFrame(conn, payload)
 		if err == nil {
-			conn.SetWriteDeadline(time.Time{})
 			return nil
 		}
 		// Retry only a clean timeout with nothing on the wire; a partial
@@ -302,7 +300,7 @@ func (nd *tcpNode) Send(to int, payload []byte) error {
 			break
 		}
 		nd.mesh.cDeadlineHits.Inc()
-		if cw.n != 0 {
+		if wrote != 0 {
 			break
 		}
 	}
@@ -314,30 +312,82 @@ func (nd *tcpNode) Send(to int, payload []byte) error {
 	return fmt.Errorf("transport: send %d->%d: %w", nd.id, to, err)
 }
 
+// timerPool recycles Recv deadline timers across calls, so a Recv
+// that has to wait allocates nothing.
+var timerPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
 func (nd *tcpNode) Recv(from int) ([]byte, error) {
 	if from < 0 || from >= nd.n || from == nd.id {
 		return nil, fmt.Errorf("transport: node %d cannot recv from %d", nd.id, from)
 	}
+	inbox := nd.inbox[from]
+	// A frame already queued needs no deadline.
+	select {
+	case msg, ok := <-inbox:
+		return nd.delivered(from, msg, ok)
+	default:
+	}
+	timer := timerPool.Get().(*time.Timer)
+	defer timerPool.Put(timer)
+	start := time.Now()
 	wait := nd.mesh.opTimeout
 	for attempt := 0; attempt <= nd.mesh.opRetries; attempt++ {
-		timer := time.NewTimer(wait)
-		select {
-		case msg, ok := <-nd.inbox[from]:
-			timer.Stop()
-			if !ok {
-				return nil, fmt.Errorf("transport: link %d->%d closed", from, nd.id)
+		deadline := time.Now().Add(wait)
+		timer.Reset(wait)
+		for expired := false; !expired; {
+			select {
+			case msg, ok := <-inbox:
+				stopTimer(timer)
+				return nd.delivered(from, msg, ok)
+			case <-nd.mesh.done:
+				stopTimer(timer)
+				return nil, fmt.Errorf("%w while %d recvs from %d", ErrMeshClosed, nd.id, from)
+			case fired := <-timer.C:
+				// A tick from before this call is left over from the
+				// timer's previous use (stopTimer can miss a tick in
+				// flight); re-arm for what is left of the deadline.
+				if fired.Before(start) {
+					timer.Reset(time.Until(deadline))
+					continue
+				}
+				expired = true
 			}
-			return msg, nil
-		case <-nd.mesh.done:
-			timer.Stop()
-			return nil, fmt.Errorf("%w while %d recvs from %d", ErrMeshClosed, nd.id, from)
-		case <-timer.C:
-			nd.mesh.cDeadlineHits.Inc()
-			if attempt < nd.mesh.opRetries {
-				nd.mesh.cRetries.Inc()
-			}
-			wait *= 2 // deadline backoff before the next bounded wait
 		}
+		nd.mesh.cDeadlineHits.Inc()
+		if attempt < nd.mesh.opRetries {
+			nd.mesh.cRetries.Inc()
+		}
+		wait *= 2 // deadline backoff before the next bounded wait
 	}
 	return nil, fmt.Errorf("transport: recv %d<-%d: no frame within %d attempts of %v", nd.id, from, nd.mesh.opRetries+1, nd.mesh.opTimeout)
+}
+
+// delivered turns one inbox receive into Recv's result. A closed inbox
+// means the link's reader hit an error: mesh teardown if the mesh is
+// done, a link fault otherwise.
+func (nd *tcpNode) delivered(from int, msg []byte, ok bool) ([]byte, error) {
+	if ok {
+		return msg, nil
+	}
+	select {
+	case <-nd.mesh.done:
+		return nil, fmt.Errorf("%w while %d recvs from %d", ErrMeshClosed, nd.id, from)
+	default:
+	}
+	return nil, fmt.Errorf("transport: link %d->%d closed", from, nd.id)
+}
+
+// stopTimer stops t and drains a tick it already delivered, so the
+// timer goes back to the pool idle.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"sync"
@@ -11,10 +12,10 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")
-	if err := writeFrame(&buf, payload); err != nil {
+	if _, err := writeFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&buf)
+	got, err := readFrame(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,20 +26,20 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, maxFrame+1)); err == nil {
+	if _, err := writeFrame(&buf, make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("oversize frame must be rejected on write")
 	}
 	// Corrupted length prefix on read.
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := readFrame(bufio.NewReader(&buf)); err == nil {
 		t.Fatal("oversize frame must be rejected on read")
 	}
 }
 
 func TestFrameShortRead(t *testing.T) {
 	buf := bytes.NewBuffer([]byte{8, 0, 0, 0, 1, 2}) // announces 8 bytes, has 2
-	if _, err := readFrame(buf); err == nil {
+	if _, err := readFrame(bufio.NewReader(buf)); err == nil {
 		t.Fatal("truncated frame must error")
 	}
 }

@@ -1,15 +1,16 @@
 #!/bin/sh
 # bench_compare.sh: allocation- and wall-clock-regression gate.
 #
-# Runs the hot-path benchmarks with -benchmem and compares them
-# against the committed baseline (scripts/bench_baseline.txt, columns:
-# name allocs/op ns/op). The gate fails when a baselined row's
-# allocs/op regresses by more than 10%, or when a parallelism=1 row's
-# ns/op regresses by more than 35% (wall-clock is gated only at
-# parallelism=1, the deterministic configuration; parallel rows' timing
-# is scheduling noise on small hosts, their baseline ns/op is
-# reference-only). Emits a machine-readable BENCH_pr7.json with the
-# measured and baseline numbers and the speedup factor side by side.
+# Runs the hot-path benchmarks with -benchmem (the gradient-ring one
+# at -cpu 1) and compares them against the committed baseline
+# (scripts/bench_baseline.txt, columns: name allocs/op ns/op). The gate
+# fails when a baselined row's allocs/op regresses by more than 10%, or
+# when a parallelism=1 row's ns/op regresses by more than 35%
+# (wall-clock is gated only at parallelism=1, the deterministic
+# configuration; parallel rows' timing is scheduling noise on small
+# hosts, their baseline ns/op is reference-only). Emits a
+# machine-readable BENCH_pr7.json with the measured and baseline
+# numbers and the speedup factor side by side.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,6 +22,10 @@ trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench 'BenchmarkConv2DForward|BenchmarkGroupEpoch|BenchmarkSimnetSimulate' \
     -benchmem -benchtime 3x . ./internal/simnet | tee "$RAW"
+# The gradient ring's per-frame cost: 8 members over loopback TCP at
+# one core, the configuration of the mesh-ring benchmark workload.
+go test -run '^$' -bench 'BenchmarkRingAllReduceTCP' -cpu 1 \
+    -benchmem -benchtime 200x ./internal/runtime | tee -a "$RAW"
 
 # Compare against the baseline and build the JSON report in one awk
 # pass over both files.

@@ -6,6 +6,8 @@
 # internal/transport.
 set -eux
 
+# Formatting gate: every Go file in the tree must be gofmt-clean.
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
@@ -29,9 +31,9 @@ make serve-smoke
 # tear down cleanly under the race detector.
 make chaos
 # Benchmark-regression gate: hot-path benchmarks must stay within 10%
-# of the committed allocs/op baseline (at parallelism 1 AND 4) and
-# within 35% of the committed parallelism=1 ns/op baseline (emits
-# BENCH_pr7.json).
+# of the committed allocs/op baseline (at parallelism 1 AND 4, and the
+# 8-member TCP gradient ring at -cpu 1) and within 35% of the committed
+# parallelism=1 ns/op baseline (emits BENCH_pr7.json).
 ./scripts/bench_compare.sh
 # Elastic re-planning gate: the pipeline track recovers from a stage
 # crash and a tidal shrink via planner-driven re-planning; the harness
